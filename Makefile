@@ -28,7 +28,7 @@ race:
 # prints an advisory comparison against the previously committed
 # numbers before overwriting them.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSuiteParallel|BenchmarkSnapshotClone|BenchmarkComputeMatchSets|BenchmarkChurn' -benchmem -count 3 -timeout 30m . > bench.out
+	$(GO) test -run '^$$' -bench 'BenchmarkSuiteParallel|BenchmarkSnapshotClone|BenchmarkComputeMatchSets|BenchmarkChurn|BenchmarkFingerprint' -benchmem -count 3 -timeout 30m . > bench.out
 	$(GO) test -run '^$$' -bench BenchmarkBDD -benchmem -count 3 -timeout 15m ./internal/bdd >> bench.out
 	$(GO) run ./cmd/benchfmt -delta BENCH_eval.json -o BENCH_eval.json < bench.out
 	@rm -f bench.out

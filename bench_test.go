@@ -461,3 +461,17 @@ func BenchmarkChurn(b *testing.B) {
 		}
 	})
 }
+
+// fingerprintSink keeps BenchmarkFingerprint's result live.
+var fingerprintSink string
+
+// BenchmarkFingerprint measures the network identity every PATCH
+// /network returns as the next delta's base, on the regional Clos.
+func BenchmarkFingerprint(b *testing.B) {
+	net := regionalNet(b).Net
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fingerprintSink = net.Fingerprint()
+	}
+}

@@ -18,7 +18,7 @@
 //	0       4     magic "YSS1"
 //	4       4     version (currently 1)
 //	8       4     fingerprint length F
-//	12      F     network fingerprint (core.Fingerprint, hex)
+//	12      F     network fingerprint (netmodel.Network.Fingerprint, hex)
 //	…       8     bdd arena length A
 //	…       A     bdd arena blob (bdd.AppendArena, self-checksummed)
 //	…       4     location count L
@@ -74,10 +74,7 @@ type snapLoc struct {
 // space; the charged transfer work lands on the private extraction
 // manager, so a budget installed on net never trips here.
 func EncodeSnapshotArena(w io.Writer, net *netmodel.Network, t *Trace) error {
-	fp, err := Fingerprint(net)
-	if err != nil {
-		return err
-	}
+	fp := net.Fingerprint()
 
 	t.mu.Lock()
 	locs := make([]dataplane.Loc, 0, len(t.packets))
@@ -162,11 +159,7 @@ func DecodeSnapshotArena(data []byte, net *netmodel.Network) (*Trace, error) {
 	if rd.short {
 		return nil, fmt.Errorf("%w: truncated fingerprint", ErrSnapshotFormat)
 	}
-	want, err := Fingerprint(net)
-	if err != nil {
-		return nil, err
-	}
-	if fp != want {
+	if fp != net.Fingerprint() {
 		return nil, ErrSnapshotMismatch
 	}
 

@@ -2,8 +2,6 @@ package core
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -28,14 +26,10 @@ import (
 var ErrSnapshotMismatch = errors.New("core: snapshot network fingerprint mismatch")
 
 // Fingerprint returns a stable hex digest identifying a network's
-// topology and rules. It hashes the canonical JSON encoding, which is
-// deterministic (devices, interfaces, and rules serialize in ID order).
+// topology and rules: netmodel.Network.Fingerprint. It never fails; the
+// error result is kept for existing callers.
 func Fingerprint(net *netmodel.Network) (string, error) {
-	h := sha256.New()
-	if err := net.EncodeJSON(h); err != nil {
-		return "", fmt.Errorf("core: fingerprint network: %w", err)
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return net.Fingerprint(), nil
 }
 
 type snapshotJSON struct {
@@ -45,16 +39,12 @@ type snapshotJSON struct {
 
 // EncodeSnapshot writes the trace plus the network's fingerprint.
 func EncodeSnapshot(w io.Writer, net *netmodel.Network, t *Trace) error {
-	fp, err := Fingerprint(net)
-	if err != nil {
-		return err
-	}
 	var trace bytes.Buffer
 	if err := t.EncodeJSON(&trace); err != nil {
 		return fmt.Errorf("core: encode snapshot trace: %w", err)
 	}
 	return json.NewEncoder(w).Encode(snapshotJSON{
-		Fingerprint: fp,
+		Fingerprint: net.Fingerprint(),
 		Trace:       json.RawMessage(trace.Bytes()),
 	})
 }
@@ -68,11 +58,7 @@ func DecodeSnapshot(r io.Reader, net *netmodel.Network) (*Trace, error) {
 	if err := dec.Decode(&sj); err != nil {
 		return nil, fmt.Errorf("core: decode snapshot: %w", err)
 	}
-	fp, err := Fingerprint(net)
-	if err != nil {
-		return nil, err
-	}
-	if sj.Fingerprint != fp {
+	if sj.Fingerprint != net.Fingerprint() {
 		return nil, ErrSnapshotMismatch
 	}
 	return DecodeTraceJSON(net, bytes.NewReader(sj.Trace))

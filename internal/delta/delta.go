@@ -146,13 +146,10 @@ type Engine struct {
 }
 
 // NewEngine wraps a frozen network and its trace, fingerprinting the
-// network once.
+// network once. It never fails; the error result is kept for existing
+// callers.
 func NewEngine(net *netmodel.Network, trace *core.Trace) (*Engine, error) {
-	fp, err := core.Fingerprint(net)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{Net: net, Trace: trace, fp: fp}, nil
+	return &Engine{Net: net, Trace: trace, fp: net.Fingerprint()}, nil
 }
 
 // ResumeEngine wraps a network whose fingerprint the caller already
@@ -292,18 +289,10 @@ func (e *Engine) Apply(doc Document) (*Applied, error) {
 		}
 	}
 	droppedOld := e.Trace.RemapRules(markRemap)
-
-	fp, err := core.Fingerprint(e.Net)
-	if err != nil {
-		// The encode of a just-committed network cannot realistically
-		// fail, but if it does the cached fingerprint must not go stale.
-		e.fp = ""
-		return nil, fmt.Errorf("delta: fingerprinting applied network: %w", err)
-	}
-	e.fp = fp
+	e.fp = e.Net.Fingerprint()
 
 	ap := &Applied{
-		Fingerprint: fp,
+		Fingerprint: e.fp,
 		Added:       added,
 		Removed:     removed,
 		Modified:    modified,

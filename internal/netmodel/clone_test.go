@@ -46,6 +46,9 @@ func TestCloneCarriesMatchSets(t *testing.T) {
 	if _, ok := c.DeviceByName("extra"); !ok {
 		t.Fatal("clone lost device name index")
 	}
+	if c.Fingerprint() != n.Fingerprint() {
+		t.Fatal("clone changed the network fingerprint")
+	}
 }
 
 // TestCloneIndependentState: structural and symbolic mutations on either

@@ -38,8 +38,9 @@ func FuzzParseText(f *testing.F) {
 }
 
 func FuzzDecodeJSON(f *testing.F) {
+	rich := buildRich(f)
 	var seed bytes.Buffer
-	buildRich(f).EncodeJSON(&seed)
+	rich.EncodeJSON(&seed)
 	f.Add(seed.Bytes())
 	f.Add([]byte(`{"devices":[{"name":"r","role":"tor"}],"ifaces":[],"rules":[]}`))
 	f.Add([]byte(`{"family":"ipv6","devices":[],"ifaces":[],"rules":[]}`))
@@ -56,5 +57,10 @@ func FuzzDecodeJSON(f *testing.F) {
 		if err := n.EncodeJSON(&buf); err != nil {
 			t.Fatalf("re-encode failed: %v", err)
 		}
+		// The fingerprint is the JSON identity: it matches the seed
+		// network's exactly when the JSON does, and round-trips.
+		oracle := newFPOracle()
+		oracle.check(t, rich)
+		oracle.check(t, n)
 	})
 }

@@ -16,9 +16,10 @@ import (
 //   - Rule IDs compact on removal (every higher ID shifts down) and
 //     additions append at the end, so EncodeJSON/DecodeJSON of the
 //     mutated network round-trips with identical IDs — the network stays
-//     a fixed point of its own JSON encoding, which is what keeps
-//     fingerprints well-defined and replicas rebuildable at any time.
-//     Commit reports the old→new correspondence in MutationResult.Remap.
+//     a fixed point of its own JSON encoding, which keeps replicas
+//     rebuildable at any time and a mutated network's Fingerprint equal
+//     to its rebuild's. Commit reports the old→new correspondence in
+//     MutationResult.Remap.
 //
 //   - Only the tables of touched devices (those owning a removed,
 //     modified, or added rule) are re-derived. Untouched rules keep

@@ -330,6 +330,7 @@ func randomDefTable(rng *rand.Rand, n *Network, dev DeviceID, table TableKind) R
 // state is bit-identical to a from-scratch rebuild.
 func TestPropertyMutationEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
+	oracle := newFPOracle()
 	for trial := 0; trial < 6; trial++ {
 		n := New()
 		devs := make([]DeviceID, 2+rng.Intn(3))
@@ -379,6 +380,7 @@ func TestPropertyMutationEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertRebuildEquivalent(t, n)
+			oracle.check(t, n)
 		}
 	}
 }

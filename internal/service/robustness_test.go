@@ -3,7 +3,12 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
+	"hash/crc32"
 	"io"
 	"log/slog"
 	"net/http"
@@ -16,6 +21,7 @@ import (
 
 	"yardstick/internal/core"
 	"yardstick/internal/dataplane"
+	"yardstick/internal/jobs"
 	"yardstick/internal/netmodel"
 	"yardstick/internal/topogen"
 )
@@ -391,5 +397,115 @@ func TestCheckpointerFinalSave(t *testing.T) {
 	}
 	if !got.RuleMarked(rg.Net.Device(rg.ToRs[0]).FIB[0]) {
 		t.Error("final checkpoint lost the marked rule")
+	}
+}
+
+// legacyFingerprint is the network identity checkpoints carried before
+// the versioned binary encoding: SHA-256 over the pretty-printed JSON.
+func legacyFingerprint(t *testing.T, net *netmodel.Network) string {
+	t.Helper()
+	h := sha256.New()
+	if err := net.EncodeJSON(h); err != nil {
+		t.Fatal(err)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestRestoreDiscardsLegacyFingerprints is the upgrade drill: a YSS1
+// trace checkpoint and a job-record file stamped with the legacy
+// JSON-hash fingerprint are both discarded on restore — no error, an
+// empty trace, no recovered jobs — and the server keeps serving and
+// checkpointing under the current identity.
+func TestRestoreDiscardsLegacyFingerprints(t *testing.T) {
+	snap := filepath.Join(t.TempDir(), "trace.snap")
+	rg, err := topogen.BuildRegional(topogen.RegionalOpts{
+		DCs: 1, PodsPerDC: 1, ToRsPerPod: 2, AggsPerPod: 2,
+		SpinesPerDC: 2, Hubs: 2, WANHubs: 1, WANPrefixes: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, legacy := rg.Net.Fingerprint(), legacyFingerprint(t, rg.Net)
+	if len(legacy) != len(fp) || legacy == fp {
+		t.Fatalf("legacy fingerprint %q vs current %q: want same length, different value", legacy, fp)
+	}
+
+	// A checkpoint with real content: a marked rule and one finished job.
+	srv1 := WithNetwork(rg.Net, WithSnapshot(snap, time.Hour), WithLogger(discardLogger()))
+	ts1 := httptest.NewServer(srv1.Handler())
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); srv1.RunJobs(ctx) }()
+	srv1.mu.Lock()
+	srv1.trace.MarkRule(rg.Net.Device(rg.ToRs[0]).FIB[0])
+	srv1.mu.Unlock()
+	var job JobStatus
+	doJSON(t, http.MethodPost, ts1.URL+"/jobs?suite=default", nil, http.StatusAccepted, &job)
+	if job = pollJob(t, ts1.URL, job.ID); job.State != jobs.StateDone {
+		t.Fatalf("job = %+v, want done", job)
+	}
+	cancel()
+	<-done
+	if err := srv1.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ts1.Close()
+
+	// Re-stamp both files with the legacy fingerprint. The YSS1 layout
+	// puts the fingerprint at offset 12 behind its length, and a CRC-32
+	// of everything before it closes the file.
+	raw, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !core.IsSnapshotArena(raw) || binary.LittleEndian.Uint32(raw[8:]) != uint32(len(fp)) || string(raw[12:12+len(fp)]) != fp {
+		t.Fatalf("checkpoint is not a YSS1 file stamped with %s", fp)
+	}
+	copy(raw[12:], legacy)
+	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(raw[:len(raw)-4]))
+	if err := os.WriteFile(snap, raw, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.LoadSnapshot(snap, rg.Net); !errors.Is(err, core.ErrSnapshotMismatch) {
+		t.Fatalf("LoadSnapshot of the legacy checkpoint = %v, want ErrSnapshotMismatch", err)
+	}
+	recs, err := jobs.Load(snap+".jobs", fp)
+	if err != nil || len(recs) == 0 {
+		t.Fatalf("job records = %d, %v; want the finished job", len(recs), err)
+	}
+	if err := jobs.Save(snap+".jobs", legacy, recs); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2 := WithNetwork(rg.Net, WithSnapshot(snap, time.Hour), WithLogger(discardLogger()))
+	restored, err := srv2.Restore()
+	if restored || err != nil {
+		t.Fatalf("Restore over legacy files = (%v, %v), want (false, nil)", restored, err)
+	}
+	if st := srv2.trace.Stats(); st.Locations != 0 || st.MarkedRules != 0 {
+		t.Errorf("trace after discarded restore = %+v, want empty", st)
+	}
+	ts2 := httptest.NewServer(srv2.Handler())
+	defer ts2.Close()
+	doJSON(t, http.MethodGet, ts2.URL+"/jobs/"+job.ID, nil, http.StatusNotFound, nil)
+	var st NetworkStats
+	doJSON(t, http.MethodGet, ts2.URL+"/network", nil, http.StatusOK, &st)
+	if st.Fingerprint != fp {
+		t.Errorf("GET /network fingerprint = %s, want %s", st.Fingerprint, fp)
+	}
+	doJSON(t, http.MethodPost, ts2.URL+"/run?suite=default", nil, http.StatusOK, nil)
+	var cov CoverageReport
+	doJSON(t, http.MethodGet, ts2.URL+"/coverage", nil, http.StatusOK, &cov)
+	if cov.Total.RuleFractional <= 0 {
+		t.Error("no coverage after a run on the upgraded server")
+	}
+
+	// The next checkpoint carries the current identity and restores.
+	if err := srv2.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	srv3 := WithNetwork(rg.Net, WithSnapshot(snap, time.Hour), WithLogger(discardLogger()))
+	if restored, err := srv3.Restore(); !restored || err != nil {
+		t.Fatalf("Restore of the re-stamped checkpoint = (%v, %v), want (true, nil)", restored, err)
 	}
 }

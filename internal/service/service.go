@@ -101,10 +101,10 @@ type Server struct {
 	mu    sync.Mutex
 	net   *netmodel.Network
 	trace *core.Trace
-	// netFP caches the loaded network's fingerprint ("" until first
-	// needed; see fingerprintLocked). PUT uses it to detect a no-op
-	// re-upload, PATCH to validate a delta document's base and to avoid
-	// re-hashing the network on every delta.
+	// netFP is the loaded network's fingerprint ("" with no network),
+	// set wherever net is. PUT uses it to detect a no-op re-upload,
+	// PATCH to validate a delta document's base, and checkpoints to
+	// stamp the trace snapshot and job records.
 	netFP string
 	// engine is the lazily built sharded evaluation pool for the current
 	// network (nil until the first parallel /run; reset when the network
@@ -283,6 +283,7 @@ func (s *Server) Metrics() *obs.Registry { return s.metrics }
 func WithNetwork(net *netmodel.Network, opts ...Option) *Server {
 	s := New(opts...)
 	s.net = net
+	s.netFP = net.Fingerprint()
 	return s
 }
 
@@ -362,18 +363,14 @@ func (s *Server) putNetwork(w http.ResponseWriter, r *http.Request) {
 		decodeError(w, "network", err)
 		return
 	}
-	fp, err := core.Fingerprint(net)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "fingerprint network: %v", err)
-		return
-	}
+	fp := net.Fingerprint()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Idempotent re-upload: loading a byte-identical network again is a
 	// no-op that keeps the accumulated trace, the replica pool, and the
 	// retained job fragments — deploy pipelines PUT unconditionally, and
 	// coverage must not evaporate when nothing changed.
-	if s.net != nil && fp == s.fingerprintLocked() {
+	if s.net != nil && fp == s.netFP {
 		body := statsBody(s.net, fp)
 		body.Unchanged = true
 		writeJSON(w, http.StatusOK, body)
@@ -391,25 +388,6 @@ func (s *Server) putNetwork(w http.ResponseWriter, r *http.Request) {
 	s.jobProfiles = map[string][]byte{}
 	s.engineBase = bdd.Stats{}        // fresh manager, fresh counter baseline
 	writeJSON(w, http.StatusOK, statsBody(net, fp))
-}
-
-// fingerprintLocked returns the loaded network's fingerprint, computing
-// and caching it on first use ("" with no network or on an encode
-// failure — in which case a PUT/PATCH precondition can never match,
-// which fails safe). Callers hold s.mu.
-func (s *Server) fingerprintLocked() string {
-	if s.net == nil {
-		return ""
-	}
-	if s.netFP == "" {
-		fp, err := core.Fingerprint(s.net)
-		if err != nil {
-			s.logger.Error("fingerprinting loaded network", "err", err)
-			return ""
-		}
-		s.netFP = fp
-	}
-	return s.netFP
 }
 
 // NetworkStats is the GET /network (and PUT /network) response body.
@@ -446,7 +424,7 @@ func (s *Server) getNetwork(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no network loaded")
 		return
 	}
-	writeJSON(w, http.StatusOK, statsBody(s.net, s.fingerprintLocked()))
+	writeJSON(w, http.StatusOK, statsBody(s.net, s.netFP))
 }
 
 // TraceStats is the POST /trace response body: the size of the
@@ -955,7 +933,7 @@ func (s *Server) getStats(w http.ResponseWriter, r *http.Request) {
 	body.TraceLocations = ts.Locations
 	body.MarkedRules = ts.MarkedRules
 	if s.net != nil {
-		body.Network = statsBody(s.net, s.fingerprintLocked())
+		body.Network = statsBody(s.net, s.netFP)
 		body.Engine = s.engineStatsLocked()
 		s.flushCanonicalLocked()
 	}
@@ -1037,11 +1015,12 @@ func (s *Server) getReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // Checkpoint writes the current trace and job records to their snapshot
-// files (atomic rename; see core.SaveSnapshotArena and jobs.Save). The
-// trace goes out in the binary arena codec — sets persisted as a BDD
-// dump, no cube extraction — and Restore reads either codec, so daemons
-// upgrade from JSON checkpoints transparently. It is a no-op without
-// WithSnapshot or before a network is loaded.
+// files (atomic rename; see core.SaveSnapshotArena and jobs.Save),
+// stamped with the network fingerprint. The trace goes out in the binary
+// arena codec — sets persisted as a BDD dump, no cube extraction — and
+// Restore reads either codec. Files stamped with another fingerprint
+// version (or another network) are discarded on Restore, not upgraded.
+// It is a no-op without WithSnapshot or before a network is loaded.
 func (s *Server) Checkpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
